@@ -1,6 +1,9 @@
 """Backend correctness: scipy vs branch-and-bound vs exhaustive search."""
 
 import itertools
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -165,3 +168,28 @@ class TestCrossBackendProperties:
         for solve in (solve_with_scipy, solve_with_branch_bound):
             solution = solve(model)
             assert model.is_feasible(solution.values)
+
+
+class TestConcurrentScipySolves:
+    def test_threads_never_see_each_others_warning_filters(self):
+        """scipy builds its constraint matrix under a temporary "error"
+        warnings filter; concurrent solves from a thread pool (tune_many,
+        the thread-executor service) must neither raise milp's
+        unrecognized-options warning nor let it escape."""
+        def solve_many():
+            for _ in range(25):
+                solution = solve_with_scipy(knapsack_model([1] * 6, range(1, 7), 3))
+                assert solution.objective == 15.0
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with ThreadPoolExecutor(4) as pool:
+                    futures = [pool.submit(solve_many) for _ in range(8)]
+                    for future in futures:
+                        future.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not [w for w in caught if "Unrecognized options" in str(w.message)]
