@@ -40,10 +40,7 @@ def candidate_indexes(workload: Workload) -> list[Index]:
     """Single-column candidates from join and filter columns."""
     columns: set[str] = set()
     for query in workload.queries:
-        for condition in query.info.join_conditions:
-            columns.update(condition.columns)
-        for predicate in query.info.filters:
-            columns.add(predicate.qualified_column)
+        columns.update(query.info.predicate_columns)
     candidates = []
     for qualified in sorted(columns):
         table, column = qualified.rsplit(".", 1)
@@ -60,12 +57,7 @@ def _affected_queries(
         column = candidate.qualified_columns()[0]
         names: set[str] = set()
         for query in workload.queries:
-            predicate_columns = {
-                predicate.qualified_column for predicate in query.info.filters
-            }
-            for condition in query.info.join_conditions:
-                predicate_columns.update(condition.columns)
-            if column in predicate_columns:
+            if column in query.info.predicate_columns:
                 names.add(query.name)
         affected[candidate.key] = names
     return affected

@@ -108,6 +108,14 @@ class QueryInfo:
             for column in columns
         }
 
+    @property
+    def predicate_columns(self) -> set[str]:
+        """``table.column`` strings of the filters and join conditions."""
+        columns = {predicate.qualified_column for predicate in self.filters}
+        for condition in self.join_conditions:
+            columns.update(condition.columns)
+        return columns
+
     def filter_selectivity(self, table: str) -> float:
         """Combined (independence-assumption) selectivity of all filters on a table."""
         product = 1.0

@@ -114,6 +114,12 @@ class TestColumnCollection:
         info = analyze("SELECT a.x FROM a")
         assert info.referenced_columns == {"a.x"}
 
+    def test_predicate_columns_are_filters_and_join_sides(self):
+        info = analyze(
+            "SELECT a.v FROM a, b WHERE a.z = b.w AND a.x > 3 GROUP BY a.v"
+        )
+        assert info.predicate_columns == {"a.z", "b.w", "a.x"}
+
 
 class TestAggregatesAndKeys:
     def test_aggregates_recorded(self):
